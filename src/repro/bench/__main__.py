@@ -1,5 +1,9 @@
 """CLI: regenerate the paper's tables and figures.
 
+Each experiment rewrites its ``benchmarks/results/<id>.txt`` table (and
+its ``BENCH_*.json`` snapshot, if it has one); this is the one command
+that refreshes the committed results.
+
 Usage::
 
     python -m repro.bench              # run everything
@@ -38,6 +42,7 @@ def main(argv: list) -> int:
         started = time.time()
         result = run_experiment(exp_id)
         elapsed = time.time() - started
+        result.write_report()
         print()
         print(result.text)
         print(result.check_report())

@@ -28,6 +28,7 @@ from ..errors import NotLockHolder, ReproError
 from ..net import PAPER_PROFILES, Network
 from ..sim import RandomStreams, Simulator
 from ..workloads import PAPER_DATA_SIZES, PAPER_YCSB_WORKLOADS, SizedValue, ZipfianGenerator
+from . import results
 from .harness import measure_latency, measure_throughput
 from .results import write_bench_json
 from .workers import (
@@ -66,6 +67,16 @@ class ExperimentResult:
         for desc, passed in self.checks:
             lines.append(f"  [{'PASS' if passed else 'FAIL'}] {desc}")
         return "\n".join(lines)
+
+    def write_report(self) -> None:
+        """Write the rendered table and its checks to ``<exp_id>.txt``
+        beside the BENCH files (skipped on a read-only checkout)."""
+        target = results.results_dir() / f"{self.exp_id}.txt"
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(self.text + "\n" + self.check_report() + "\n")
+        except OSError:
+            pass
 
 
 def scale_name() -> str:

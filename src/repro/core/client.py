@@ -57,6 +57,9 @@ class MusicClient:
         # per-(key, lockRef) critical-write watermark gating lease hits.
         self._session_reads: Dict[str, Tuple[Any, Any]] = {}
         self._critical_watermarks: Dict[Tuple[str, int], Tuple[float, str]] = {}
+        # Queue head seen by this client's last not-granted acquireLock
+        # poll (None = granted, or the local queue looked empty).
+        self._polled_head: Optional[int] = None
 
     @property
     def replica(self) -> MusicReplica:
@@ -111,9 +114,14 @@ class MusicClient:
         return ref
 
     def acquire_lock(self, key: str, lock_ref: int) -> Generator[Any, Any, bool]:
-        granted = yield from self._with_failover(
-            "acquireLock", lambda replica: replica.acquire_lock(key, lock_ref)
-        )
+        def attempt(replica) -> Generator[Any, Any, bool]:
+            granted = yield from replica.acquire_lock(key, lock_ref)
+            # The replica records the head a not-granted poll saw right
+            # before returning (no yields in between).
+            self._polled_head = None if granted else replica.last_peek_head
+            return granted
+
+        granted = yield from self._with_failover("acquireLock", attempt)
         return granted
 
     def acquire_lock_blocking(
@@ -127,7 +135,10 @@ class MusicClient:
         so the wait never overshoots ``timeout_ms``.  Raises
         :class:`NotLockHolder` if the lockRef was preempted while
         waiting.  With ``push_grants`` on, the sleep also wakes early on
-        a release notification for ``key``.
+        a release push that may make ``lock_ref`` queue head; once a poll
+        shows another lockRef heading the queue, a waiter not yet pushed
+        leaves the poll timer at ``acquire_poll_max_ms`` as a liveness
+        fallback and waits for its push (DESIGN.md §9).
         """
         deadline = None if timeout_ms is None else self.sim.now + timeout_ms
         interval = self.config.acquire_poll_interval_ms
@@ -137,11 +148,12 @@ class MusicClient:
         # would back off toward acquire_poll_max_ms with the lock free.
         waiter = None
         waited_at = None
+        woken = False
         try:
             while True:
                 if self.config.push_grants and waiter is None:
                     waited_at = self.replica
-                    waiter = waited_at.subscribe_release(key)
+                    waiter = waited_at.subscribe_release(key, lock_ref)
                 granted = yield from self.acquire_lock(key, lock_ref)
                 if granted:
                     return True
@@ -154,7 +166,14 @@ class MusicClient:
                     waiter = None
                     pushed = True
                 else:
-                    sleep = interval * (1 + 0.2 * self._rng.random())
+                    base = interval
+                    if waiter is not None and not woken \
+                            and self._polled_head is not None:
+                        # Queued behind another lockRef: the release
+                        # that makes us head pushes us, so the timer is
+                        # only the fallback for a lost push.
+                        base = self.config.acquire_poll_max_ms
+                    sleep = base * (1 + 0.2 * self._rng.random())
                     if deadline is not None:
                         sleep = min(sleep, deadline - self.sim.now)
                     if waiter is not None:
@@ -170,6 +189,7 @@ class MusicClient:
                     # The grant is at most a local store apply away, so
                     # re-poll on a short fuse (the push races the commit
                     # round's replica writes by design).
+                    woken = True
                     interval = min(self.config.acquire_poll_interval_ms, 3.0)
                 else:
                     interval = min(

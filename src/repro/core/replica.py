@@ -114,6 +114,11 @@ class MusicReplica(Node):
         # through this replica (the version token the transaction layer
         # records in its read sets; None = never-written key).
         self.last_get_stamp: Optional[Tuple[float, str]] = None
+        # Queue head seen by the last not-granted acquireLock poll
+        # through this replica (None = the local queue looked empty):
+        # tells a push-grant waiter whether it is queued behind another
+        # lockRef, and so may wait for a targeted push.
+        self.last_peek_head: Optional[int] = None
         # Service-layer cache invalidation hooks, called with the key on
         # every observed release push (see PortalFrontend).
         self._release_listeners: list = []
@@ -121,8 +126,9 @@ class MusicReplica(Node):
         # epoch under which this replica last established flag=False at
         # quorum.  Key absent = no fast-path evidence.
         self._flag_epoch: Dict[str, Any] = {}
-        # Push grants: local waiters parked until the key's next dequeue,
-        # plus the sibling MUSIC replicas to notify (wired by deployment).
+        # Push grants: local waiters parked as (lockRef, event) pairs
+        # until a dequeue that may make them queue head, plus the sibling
+        # MUSIC replicas to notify (wired by deployment).
         self._release_waiters: Dict[str, list] = {}
         self.peer_ids: list = []
         self.on("music.grantPush", self._on_grant_push)
@@ -194,6 +200,7 @@ class MusicReplica(Node):
                 epoch = None
             if entry is None or lock_ref > entry.lock_ref:
                 # Not first yet, or the local lock-store replica lags: retry.
+                self.last_peek_head = None if entry is None else entry.lock_ref
                 span.set(granted=False)
                 self._record("acquireLock.peek", started)
                 return False
@@ -579,7 +586,12 @@ class MusicReplica(Node):
             # The audit event must fire at the same decide point: a
             # push-woken successor can be granted during the commit
             # round, and the auditor linearizes by event order.
-            push = self._push_hook(key)
+            # The same peek names the successor (None when this replica
+            # does not see us at the head with someone queued behind).
+            successor = None
+            if entry is not None and entry.lock_ref == lock_ref:
+                successor = entry.next_ref
+            push = self._push_hook(key, successor)
             audit = self.obs.audit
             decided_seen = []
 
@@ -595,10 +607,16 @@ class MusicReplica(Node):
             yield from self.lock_store.dequeue(
                 key, lock_ref, on_committing=decided
             )
-            if not decided_seen and audit.enabled:
-                audit.emit(
-                    "release", key=key, node=self.node_id, lock_ref=lock_ref
-                )
+            if not decided_seen:
+                # Another coordinator's recovery decided the dequeue (or
+                # the row was already gone): the successor still needs
+                # its push, or it would sit out its fallback poll timer.
+                if audit.enabled:
+                    audit.emit(
+                        "release", key=key, node=self.node_id, lock_ref=lock_ref
+                    )
+                if push is not None:
+                    push()
         if self.config.read_leases:
             self.lease_manager.revoke(key)
         self._leases.pop((key, lock_ref), None)
@@ -655,7 +673,7 @@ class MusicReplica(Node):
                     self.config.read_lease_ms
                     + 2.0 * self.config.lease_clock_skew_bound_ms
                 )
-            push = self._push_hook(key)
+            push = self._push_hook(key, None)
             decided_seen = []
 
             def decided() -> None:
@@ -673,34 +691,43 @@ class MusicReplica(Node):
                 forced=self.config.synch_fast_path or self.config.read_leases,
                 on_committing=decided,
             )
-            if not decided_seen and audit.enabled:
-                audit.emit(
-                    "forced_release", key=key, node=self.node_id,
-                    lock_ref=lock_ref, stamp=forced_stamp,
-                )
+            if not decided_seen:
+                if audit.enabled:
+                    audit.emit(
+                        "forced_release", key=key, node=self.node_id,
+                        lock_ref=lock_ref, stamp=forced_stamp,
+                    )
+                if push is not None:
+                    push()
         return True
 
     # -- push-based grant notification (DESIGN.md §9) -----------------------------
 
-    def _push_hook(self, key: str):
+    def _push_hook(self, key: str, successor: Optional[int]):
         """The dequeue's decided-hook when push grants are on, else None
-        (None keeps the default path free of even closure allocation)."""
+        (None keeps the default path free of even closure allocation).
+        ``successor`` is the release's next-holder hint (None: unknown)."""
         if not self.config.push_grants:
             return None
-        return lambda: self._push_release(key)
+        return lambda: self._push_release(key, successor)
 
-    def subscribe_release(self, key: str):
-        """An Event succeeding at the key's next (observed) dequeue."""
+    def subscribe_release(self, key: str, lock_ref: int):
+        """An Event succeeding at the first observed dequeue of ``key``
+        that may make ``lock_ref`` queue head."""
         event = self.sim.event(name=f"grantPush:{key}")
-        self._release_waiters.setdefault(key, []).append(event)
+        self._release_waiters.setdefault(key, []).append((lock_ref, event))
         return event
 
     def unsubscribe_release(self, key: str, event) -> None:
         waiters = self._release_waiters.get(key)
-        if waiters and event in waiters:
-            waiters.remove(event)
-            if not waiters:
-                del self._release_waiters[key]
+        if not waiters:
+            return
+        for index, (_, waiting) in enumerate(waiters):
+            if waiting is event:
+                del waiters[index]
+                if not waiters:
+                    del self._release_waiters[key]
+                return
 
     def add_release_listener(self, callback: Callable[[str], None]) -> None:
         """Register a service-layer hook called with the key on every
@@ -708,32 +735,45 @@ class MusicReplica(Node):
         invalidation)."""
         self._release_listeners.append(callback)
 
-    def _notify_release(self, key: str) -> None:
+    def _notify_release(self, key: str, successor: Optional[int]) -> None:
+        """Run the release listeners, then wake the waiters the release
+        may have made queue head: those whose lockRef is at most the
+        ``successor`` hint (everyone when it is None).  The hint comes
+        from the releaser's local view: a view that lags on mints only
+        makes it too large, so the true head is at or below it, and refs
+        below the head were preempted and wake to learn so.  A waiter a
+        stale hint misses still has its poll timer (DESIGN.md §9)."""
         for listener in self._release_listeners:
             listener(key)
         waiters = self._release_waiters.pop(key, None)
         if not waiters:
             return
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(True)
+        parked = []
+        for lock_ref, event in waiters:
+            if successor is None or lock_ref <= successor:
+                if not event.triggered:
+                    event.succeed(True)
+            else:
+                parked.append((lock_ref, event))
+        if parked:
+            self._release_waiters[key] = parked
 
     def _on_grant_push(self, msg) -> None:
         key = msg.body["key"]
         if self.config.read_leases:
             self._lease_invalidate(key)
-        self._notify_release(key)
+        self._notify_release(key, msg.body.get("next"))
 
-    def _push_release(self, key: str) -> None:
+    def _push_release(self, key: str, successor: Optional[int]) -> None:
         """Wake local waiters and nudge sibling replicas (best-effort
         one-way sends: a lost push only means the waiter falls back to
         its poll timer)."""
         self.obs.metrics.counter("music.push.notifies", node=self.node_id).inc()
         if self.config.read_leases:
             self._lease_invalidate(key)
-        self._notify_release(key)
+        self._notify_release(key, successor)
         for peer in self.peer_ids:
-            self.send(peer, "music.grantPush", {"key": key})
+            self.send(peer, "music.grantPush", {"key": key, "next": successor})
 
     def _lease_invalidate(self, key: str) -> None:
         """Invalidate lease + cached reads for a key whose critical

@@ -73,10 +73,11 @@ def install_service(replica: MusicReplica) -> None:
         return handler
 
     def wait_release(msg) -> Generator[Any, Any, None]:
-        # Long-poll for push grants: hold the request until the key's
-        # next observed dequeue, or the client-supplied bound elapses.
+        # Long-poll for push grants: hold the request until a dequeue
+        # that may make the caller's lockRef queue head, or until the
+        # client-supplied bound elapses.
         body = replica.payload(msg)
-        waiter = replica.subscribe_release(body["key"])
+        waiter = replica.subscribe_release(body["key"], body["lock_ref"])
         try:
             yield replica.sim.any_of(
                 [waiter, replica.sim.timeout(body["wait_ms"])]
@@ -192,7 +193,7 @@ class RemoteMusicClient:
                 wait_ms = self.config.push_wait_ms
                 if deadline is not None:
                     wait_ms = min(wait_ms, deadline - self.sim.now)
-                yield from self._wait_release(key, wait_ms)
+                yield from self._wait_release(key, lock_ref, wait_ms)
             else:
                 sleep = interval
                 if deadline is not None:
@@ -205,13 +206,15 @@ class RemoteMusicClient:
             if deadline is not None and self.sim.now >= deadline:
                 return False
 
-    def _wait_release(self, key: str, wait_ms: float) -> Generator[Any, Any, None]:
+    def _wait_release(
+        self, key: str, lock_ref: int, wait_ms: float
+    ) -> Generator[Any, Any, None]:
         replica = next((r for r in self.replicas if not r.failed), self.replicas[0])
         try:
             yield from self.host.call(
                 replica.node_id,
                 "music.waitRelease",
-                {"key": key, "wait_ms": wait_ms},
+                {"key": key, "lock_ref": lock_ref, "wait_ms": wait_ms},
                 timeout=wait_ms + DEFAULT_RPC_TIMEOUT_MS,
             )
         except RpcTimeout:

@@ -113,10 +113,10 @@ class _InboundLink(_Link):
 
     def start(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        loop = self.transport.sim.loop
+        spawn = self.transport._spawn
         self.tasks = [
-            loop.create_task(self.transport._read_loop(reader, self)),
-            loop.create_task(self._drain_queue()),
+            spawn(self.transport._read_loop(reader, self)),
+            spawn(self._drain_queue()),
         ]
 
 
@@ -126,7 +126,7 @@ class _OutboundLink(_Link):
     def __init__(self, transport: "TcpTransport", address: Tuple[str, int]) -> None:
         super().__init__(transport, label=f"{address[0]}:{address[1]}")
         self.address = address
-        self.tasks = [transport.sim.loop.create_task(self._run())]
+        self.tasks = [transport._spawn(self._run())]
 
     async def _run(self) -> None:
         backoff = RECONNECT_INITIAL_S
@@ -139,7 +139,7 @@ class _OutboundLink(_Link):
                 continue
             backoff = RECONNECT_INITIAL_S
             self.writer = writer
-            read_task = self.transport.sim.loop.create_task(
+            read_task = self.transport._spawn(
                 self.transport._read_loop(reader, self)
             )
             try:
@@ -196,6 +196,11 @@ class TcpTransport:
         self._message_ids = itertools.count()
         self._listen = listen
         self._server: Optional[asyncio.AbstractServer] = None
+        # Every task a link runs (including an outbound link's reader and
+        # the drain task a dead inbound link cancels), so close() can
+        # cancel and await them all; after close() no link (re)opens.
+        self._tasks: Set[asyncio.Task] = set()
+        self._closed = False
         self.obs = obs or NULL_OBS
         if self.obs.enabled:
             self.obs.observe_network(self)
@@ -210,7 +215,11 @@ class TcpTransport:
         self._server = await asyncio.start_server(self._on_connection, host, port)
 
     async def close(self) -> None:
-        """Close the server and every link; in-queue frames are dropped."""
+        """Close the server and every link; in-queue frames are dropped.
+
+        Sends after this point are dropped rather than reopening a link,
+        and every link task has finished by the time it returns."""
+        self._closed = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -221,6 +230,16 @@ class TcpTransport:
         self._return_links.clear()
         for link in links:
             await link.close()
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+    def _spawn(self, coro: Any) -> asyncio.Task:
+        task = self.sim.loop.create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
 
     # -- membership (Network-compatible) -----------------------------------
 
@@ -321,6 +340,8 @@ class TcpTransport:
             self.stats.dropped_loss += 1
 
     def _route(self, dst: str, data: bytes) -> bool:
+        if self._closed:
+            return False
         address = self._addresses.get(dst)
         if address is not None:
             link = self._outbound.get(address)

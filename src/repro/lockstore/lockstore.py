@@ -64,11 +64,16 @@ class _BatchOp:
 
 @dataclass
 class LockEntry:
-    """One queued lockRef as seen by a peek."""
+    """One queued lockRef as seen by a peek.
+
+    ``next_ref`` is the lockRef queued right behind it in the same local
+    view (None if it is alone there): the release push's successor hint.
+    """
 
     lock_ref: int
     enqueued_at: Optional[float]
     start_time: Optional[float]
+    next_ref: Optional[int] = None
 
 
 class LockStore:
@@ -311,8 +316,11 @@ class LockStore:
     def _first(self, rows: Dict) -> Optional[LockEntry]:
         if not rows:
             return None
-        first_ref = min(rows)
-        return self._entry(first_ref, rows[first_ref])
+        refs = sorted(rows)
+        entry = self._entry(refs[0], rows[refs[0]])
+        if len(refs) > 1:
+            entry.next_ref = refs[1]
+        return entry
 
     # -- lsDequeue ----------------------------------------------------------------
 
