@@ -42,11 +42,11 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     upper = int(math.ceil(position))
     if lower == upper:
         return sorted_values[lower]
-    weight = position - lower
-    interpolated = sorted_values[lower] * (1 - weight) + sorted_values[upper] * weight
-    # Clamp: float interpolation may overshoot its endpoints by an ulp,
-    # which would break monotonicity across percentiles.
-    return min(max(interpolated, sorted_values[lower]), sorted_values[upper])
+    low, high = sorted_values[lower], sorted_values[upper]
+    # `low + (high - low) * weight` rounds monotonically in the weight
+    # (`low * (1 - w) + high * w` does not: p95 could round above p99).
+    # Clamp: it may still overshoot `high` by an ulp.
+    return min(max(low + (high - low) * (position - lower), low), high)
 
 
 def summarize(values: Sequence[float]) -> Summary:

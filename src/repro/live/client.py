@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
+from ..analysis.stats import percentile
 from ..core import RemoteMusicClient
 from ..net import Node
 from ..sim import RandomStreams
@@ -97,25 +98,20 @@ class WorkloadResult:
         return self.completed_cs / (self.duration_ms / 1000.0)
 
 
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def workload_metrics(result: WorkloadResult) -> Dict[str, float]:
-    """The BENCH_live metric set for one workload run."""
+    """The BENCH_live metric set for one workload run (an empty latency
+    sample reports 0.0)."""
+    cs = sorted(result.cs_latencies_ms)
+    acquire = sorted(result.acquire_latencies_ms)
     return {
         "completed_cs": float(result.completed_cs),
         "failed_cs": float(result.failed_cs),
         "duration_ms": result.duration_ms,
         "cs_per_sec": result.cs_per_sec(),
-        "cs_p50_ms": _percentile(result.cs_latencies_ms, 0.50),
-        "cs_p99_ms": _percentile(result.cs_latencies_ms, 0.99),
-        "acquire_p50_ms": _percentile(result.acquire_latencies_ms, 0.50),
-        "acquire_p99_ms": _percentile(result.acquire_latencies_ms, 0.99),
+        "cs_p50_ms": percentile(cs, 0.50) if cs else 0.0,
+        "cs_p99_ms": percentile(cs, 0.99) if cs else 0.0,
+        "acquire_p50_ms": percentile(acquire, 0.50) if acquire else 0.0,
+        "acquire_p99_ms": percentile(acquire, 0.99) if acquire else 0.0,
     }
 
 

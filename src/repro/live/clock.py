@@ -2,9 +2,9 @@
 
 This is the live counterpart of :class:`repro.sim.Simulator`.  It
 implements the identical scheduler surface the DES kernel exposes —
-``now``/``event``/``timeout``/``process``/``all_of``/``any_of`` plus the
-kernel-internal ``_push``/``_schedule_callback``/``_schedule_trigger``
-hooks — but backs it with an asyncio event loop instead of a heap of
+``now``/``event``/``timeout``/``process``/``all_of``/``any_of``/``call_at``
+plus the kernel-internal ``_push_call``/``_schedule_callback`` hooks —
+but backs it with an asyncio event loop instead of a heap of
 virtual timestamps.  The existing :class:`~repro.sim.core.Event`,
 :class:`~repro.sim.core.Process`, :class:`~repro.sim.primitives.Mailbox`
 and friends run on it **unmodified**: a protocol generator that yields
@@ -30,7 +30,7 @@ import time
 import traceback
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from ..sim.core import AllOf, AnyOf, Event, Process, Timeout
+from ..sim.core import AllOf, AnyOf, Event, Process, Timeout, _invoke
 
 __all__ = ["LiveClock"]
 
@@ -87,7 +87,8 @@ class LiveClock:
 
     # -- scheduling --------------------------------------------------------
 
-    def _push(self, delay: float, action: Callable[[], None]) -> None:
+    def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` after ``delay`` ms (clamped to "soon")."""
         if self._closed:
             return
         handle_slot: list = []
@@ -98,7 +99,7 @@ class LiveClock:
             if self._closed:
                 return
             try:
-                action()
+                fn(arg)
             except BaseException:  # noqa: BLE001 - isolate handler bugs
                 self.errors.append(traceback.format_exc())
 
@@ -111,23 +112,12 @@ class LiveClock:
         handle_slot.append(handle)
         self._handles.add(handle)
 
-    def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
-        """Schedule ``fn(arg)`` after ``delay`` ms (kernel fast-path API)."""
-        self._push(delay, lambda: fn(arg))
-
     def _schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
-        self._push(0.0, lambda: callback(event))
-
-    def _schedule_trigger(self, delay: float, event: Event, ok: bool, value: Any) -> None:
-        def fire() -> None:
-            if not event._triggered:
-                event._trigger(ok, value)
-
-        self._push(delay, fire)
+        self._push_call(0.0, callback, event)
 
     def call_at(self, when: float, action: Callable[[], None]) -> None:
         """Run ``action`` at absolute clock time ``when`` (ms)."""
-        self._push(max(0.0, when - self.now), action)
+        self._push_call(when - self.now, _invoke, action)
 
     def _defuse(self, event: Event) -> None:
         """Account a child failure that lost an AllOf/AnyOf race."""

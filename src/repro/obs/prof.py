@@ -6,11 +6,12 @@ time spent popping the event heap and running handlers.  This module
 profiles the simulator with zero cost when off:
 
 - ``Simulator.profiler`` is a **class attribute** defaulting to ``None``;
-  :meth:`SimProfiler.install` shadows the instance's ``step`` method
-  with a timing wrapper (``run``/``run_until_complete`` call
-  ``self.step()``, so the wrapper intercepts every event) and sets the
-  instance attribute.  Uninstalled simulators execute the exact original
-  bytecode — no branch, no check, nothing.
+  :meth:`SimProfiler.install` sets the instance attribute, and while it
+  is set the kernel's one dispatch loop (``Simulator._drive``) hands
+  every action to :meth:`SimProfiler.dispatch`, which runs and times
+  it.  The profiler never pops a queue, so the dispatch order is the
+  kernel's own and profiled runs stay bit-identical.  Unprofiled runs
+  pay one local ``is None`` test per event.
 - Allocation counters piggyback the same guard: ``Node.call_async`` and
   ``Tracer.span`` bump ``profiler.rpc_envelopes`` / ``profiler.obs_spans``
   only after a ``sim.profiler is not None`` test (one class-attribute
@@ -42,7 +43,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim import Simulator
-from ..sim.core import _NOARG
+from ..sim.core import _invoke
 
 __all__ = ["SimProfiler", "subsystem_of"]
 
@@ -99,15 +100,17 @@ def _entry_owner_name(fn: Callable[..., None], arg: Any) -> str:
     ``Process._resume`` callback with the triggering event as ``arg``, a
     module-level ``_fire_event`` with the event (usually a Timeout) as
     ``arg``, a bound ``Network._deliver`` with the message as ``arg``,
-    or a legacy no-arg callable.  We look at the bound object first,
-    then the argument, then (for legacy closures) the closure cells.
+    or a ``call_at`` action, which is named by its own bound owner or
+    qualname.  We look at the bound object first, then the argument.
     """
+    if fn is _invoke:
+        fn, arg = arg, None
     owner = getattr(fn, "__self__", None)
     if owner is not None:
         name = getattr(owner, "name", None)
         if name:
             return str(name)
-    if arg is not _NOARG and arg is not None:
+    if arg is not None:
         name = getattr(arg, "name", None)
         if isinstance(name, str) and name:
             return name
@@ -118,24 +121,6 @@ def _entry_owner_name(fn: Callable[..., None], arg: Any) -> str:
                     return name
     if owner is not None:
         return type(owner).__name__
-    closure = getattr(fn, "__closure__", None)
-    if closure:
-        fallback = ""
-        for cell in closure:
-            try:
-                value = cell.cell_contents
-            except ValueError:  # pragma: no cover - empty cell
-                continue
-            bound = getattr(value, "__self__", None)
-            if bound is not None:
-                name = getattr(bound, "name", None)
-                if name:
-                    return str(name)
-            name = getattr(value, "name", None)
-            if isinstance(name, str) and name:
-                fallback = fallback or name
-        if fallback:
-            return fallback
     return getattr(fn, "__qualname__", type(fn).__name__)
 
 
@@ -183,77 +168,58 @@ class SimProfiler:
     # -- installation -------------------------------------------------------
 
     def install(self, sim: Simulator) -> "SimProfiler":
-        """Attach to ``sim``: shadow its ``step`` and set ``sim.profiler``.
-
-        The wrapper replicates ``Simulator.step`` exactly (pop, advance
-        ``now``, run the action) so simulated behaviour — event order,
-        timestamps, RNG draws — is bit-identical with profiling on.
-        """
+        """Attach to ``sim``: from its next run on, every action it
+        dispatches goes through :meth:`dispatch`."""
         if self._sim is not None:
             raise RuntimeError("profiler is already installed")
-        if "step" in sim.__dict__:
-            raise RuntimeError("simulator already has a step override")
+        if sim.profiler is not None:
+            raise RuntimeError("simulator already has a profiler")
         self._sim = sim
         sim.profiler = self  # type: ignore[attr-defined]
         self._seq_at_install = sim._seq
-
-        heappop = __import__("heapq").heappop
-        perf_counter = time.perf_counter
-        heap = sim._heap
-        ready = sim._ready
-
-        def profiled_step() -> None:
-            # Replicates Simulator.step exactly (same-time heap entries
-            # drain before the ready queue, then future heap entries)
-            # with timing around the dispatch — simulated behaviour is
-            # bit-identical with profiling on.
-            depth = len(heap) + len(ready)
-            if depth > self.heap_high_water:
-                self.heap_high_water = depth
-            if ready:
-                if heap and heap[0][0] <= sim.now:
-                    _, _, fn, arg = heappop(heap)
-                else:
-                    fn, arg = ready.popleft()
-            else:
-                sim.now, _, fn, arg = heappop(heap)
-            began = perf_counter()
-            if arg is _NOARG:
-                fn()
-            else:
-                fn(arg)
-            elapsed = perf_counter() - began
-            self.events += 1
-            self.wall_s += elapsed
-            kind = getattr(fn, "__qualname__", None) or type(fn).__name__
-            bucket = self.by_event_type.get(kind)
-            if bucket is None:
-                bucket = self.by_event_type[kind] = [0, 0.0]
-            bucket[0] += 1
-            bucket[1] += elapsed
-            self._tick += 1
-            if self._tick >= self.sample_every:
-                self._tick = 0
-                subsystem = subsystem_of(_entry_owner_name(fn, arg))
-                sub = self.by_subsystem.get(subsystem)
-                if sub is None:
-                    sub = self.by_subsystem[subsystem] = [0, 0.0]
-                sub[0] += 1
-                sub[1] += elapsed
-                self.sampled_events += 1
-                self.sampled_wall_s += elapsed
-
-        sim.step = profiled_step  # type: ignore[method-assign]
         return self
 
+    def dispatch(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run one scheduled action ``fn(arg)`` and time it.
+
+        Called by the kernel's dispatch loop after it popped the action,
+        so the scheduler depth counts the popped entry back in.
+        """
+        sim = self._sim
+        depth = len(sim._heap) + len(sim._ready) + 1
+        if depth > self.heap_high_water:
+            self.heap_high_water = depth
+        began = time.perf_counter()
+        fn(arg)
+        elapsed = time.perf_counter() - began
+        self.events += 1
+        self.wall_s += elapsed
+        named = arg if fn is _invoke else fn
+        kind = getattr(named, "__qualname__", None) or type(named).__name__
+        bucket = self.by_event_type.get(kind)
+        if bucket is None:
+            bucket = self.by_event_type[kind] = [0, 0.0]
+        bucket[0] += 1
+        bucket[1] += elapsed
+        self._tick += 1
+        if self._tick >= self.sample_every:
+            self._tick = 0
+            subsystem = subsystem_of(_entry_owner_name(fn, arg))
+            sub = self.by_subsystem.get(subsystem)
+            if sub is None:
+                sub = self.by_subsystem[subsystem] = [0, 0.0]
+            sub[0] += 1
+            sub[1] += elapsed
+            self.sampled_events += 1
+            self.sampled_wall_s += elapsed
+
     def uninstall(self) -> None:
-        """Restore the original ``step`` and detach."""
+        """Detach from the simulator (its next run dispatches directly)."""
         sim = self._sim
         if sim is None:
             return
         self._heap_pushes_final = sim._seq - self._seq_at_install
-        sim.__dict__.pop("step", None)
-        if getattr(sim, "profiler", None) is self:
+        if sim.profiler is self:
             sim.profiler = None  # type: ignore[attr-defined]
         self._sim = None
 

@@ -106,19 +106,14 @@ class Clock(Protocol):
 
     # Kernel-internal surface: Event/Timeout/Process objects schedule
     # themselves through these, so any Clock must provide them.
-    # ``_push_call`` is the allocation-free fast path (``fn(arg)``, no
-    # closure); ``_defuse`` accounts an AllOf/AnyOf child failure that
-    # lost the race after the combinator triggered.
-    def _push(self, delay: float, action: Callable[[], None]) -> None: ...
-
+    # ``_push_call`` schedules ``fn(arg)`` after a delay (non-positive
+    # delays clamp to "now"); ``_schedule_callback`` is the same-instant
+    # append for event callbacks; ``_defuse`` accounts an AllOf/AnyOf
+    # child failure that lost the race after the combinator triggered.
     def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None: ...
 
     def _schedule_callback(
         self, callback: Callable[[Any], None], event: Any
-    ) -> None: ...
-
-    def _schedule_trigger(
-        self, delay: float, event: Any, ok: bool, value: Any
     ) -> None: ...
 
     def _defuse(self, event: Any) -> None: ...
@@ -175,9 +170,8 @@ def require_clock(candidate: Any) -> Any:
             name
             for name in (
                 "now", "active_process", "profiler", "event", "timeout",
-                "process", "all_of", "any_of", "call_at", "_push",
-                "_push_call", "_schedule_callback", "_schedule_trigger",
-                "_defuse",
+                "process", "all_of", "any_of", "call_at", "_push_call",
+                "_schedule_callback", "_defuse",
             )
             if not hasattr(candidate, name)
         ]

@@ -54,15 +54,24 @@ The scheduler keeps two structures:
 Determinism contract: every entry in ``_ready`` was scheduled at the
 current ``now`` and therefore *after* (in program order) every heap
 entry whose time equals ``now`` — heap entries landing at ``now`` were
-pushed at an earlier instant with a positive delay.  ``step`` therefore
-drains same-time heap entries before the ready queue, which reproduces
-exactly the global ``(time, seq)`` order the previous tuple-heap
-scheduler produced.  Seed runs are bit-identical across the change.
+pushed at an earlier instant with a positive delay.  The dispatch loop
+therefore drains same-time heap entries before the ready queue, which
+reproduces exactly the global ``(time, seq)`` order the previous
+tuple-heap scheduler produced.  Seed runs are bit-identical across the
+change.
+
+That rule lives in exactly one place, :meth:`Simulator._drive`.
+``run`` drives it with a sentinel that never triggers (so it stops only
+when the queues drain or time passes ``until``), ``run_until_complete``
+drives it with the awaited process, and an installed
+:class:`~repro.obs.prof.SimProfiler` only times each dispatch
+(``profiler.dispatch(fn, arg)``); it never pops a queue itself.
 
 Scheduled actions are ``(fn, arg)`` pairs rather than zero-argument
-closures: the dispatcher calls ``fn(arg)`` (or ``fn()`` when ``arg`` is
-the no-arg sentinel), so the hot paths — callback delivery, process
-resume, timeout firing, message delivery — allocate no lambdas.
+closures: the dispatcher calls ``fn(arg)``, so the hot paths — callback
+delivery, process resume, timeout firing, message delivery — allocate
+no lambdas.  ``call_at`` schedules its plain callable as
+``(_invoke, action)``.
 """
 
 from __future__ import annotations
@@ -83,8 +92,9 @@ __all__ = [
 ]
 
 
-# Sentinel marking a scheduled (fn, arg) pair whose fn takes no argument.
-_NOARG = object()
+def _invoke(action: Callable[[], None]) -> None:
+    """Scheduled thunk for :meth:`Simulator.call_at`: run ``action()``."""
+    action()
 
 
 class SimulationError(Exception):
@@ -433,10 +443,8 @@ class Simulator:
     # Self-profiler slot (see repro.obs.prof.SimProfiler).  A class
     # attribute, not instance state: unprofiled simulators carry no
     # extra per-instance data and `sim.profiler is None` checks resolve
-    # against the class.  SimProfiler.install() sets the instance
-    # attribute and shadows `step` with a timing wrapper; run()/
-    # run_until_complete() dispatch through `self.step()` whenever an
-    # instance override is present, so the wrapper sees every event.
+    # against the class.  While it is set, _drive hands every action to
+    # `profiler.dispatch(fn, arg)` instead of calling it directly.
     profiler: Optional[Any] = None
 
     def __init__(self) -> None:
@@ -474,23 +482,14 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _push(self, delay: float, action: Callable[[], None]) -> None:
-        """Schedule a no-argument callable after ``delay`` ms.
+    def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` after ``delay`` ms.
 
         Contract (shared with :meth:`call_at`): a non-positive delay is
         clamped to "now" — the action joins the same-time FIFO queue.
         Scheduling "in the past" therefore behaves identically whether
         expressed as a negative delay or an absolute time before ``now``.
         """
-        if delay <= 0.0:
-            self._ready.append((action, _NOARG))
-        else:
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(self._heap, (self.now + delay, seq, action, _NOARG))
-
-    def _push_call(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
-        """Schedule ``fn(arg)`` after ``delay`` ms (clamped like _push)."""
         if delay <= 0.0:
             self._ready.append((fn, arg))
         else:
@@ -501,25 +500,13 @@ class Simulator:
     def _schedule_callback(self, callback: Callable[[Event], None], event: Event) -> None:
         self._ready.append((callback, event))
 
-    def _schedule_trigger(self, delay: float, event: Event, ok: bool, value: Any) -> None:
-        if ok:
-            event._value = value  # staged; unread while the event is pending
-            self._push_call(delay, _fire_event, event)
-        else:
-            def fire() -> None:
-                if not event._triggered:
-                    event._trigger(False, value)
-
-            self._push(delay, fire)
-
     def call_at(self, when: float, action: Callable[[], None]) -> None:
         """Run a plain callable at absolute simulated time ``when``.
 
         Times at or before ``now`` are clamped to "now" (the action runs
-        on the current instant's FIFO queue) — the same clamping
-        :meth:`_push` applies to non-positive delays.
+        on the current instant's FIFO queue), like :meth:`_push_call`.
         """
-        self._push(when - self.now, action)
+        self._push_call(when - self.now, _invoke, action)
 
     def _defuse(self, event: Event) -> None:
         """Account a child failure that lost an AllOf/AnyOf race."""
@@ -527,27 +514,41 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------
 
-    def step(self) -> None:
-        """Execute the single next scheduled action.
+    def _drive(self, process: Event, until: float) -> None:
+        """The dispatch loop: run actions until ``process`` triggers, the
+        queues drain, or the next action lies after ``until``.
 
         Dispatch order: same-time heap entries (scheduled at an earlier
         instant, landing now) run before the ready queue; the ready
         queue runs before any future-time heap entry.  This reproduces
-        global ``(time, seq)`` order exactly.
+        global ``(time, seq)`` order exactly.  ``now`` only advances on
+        heap pops bounded by ``until``, so once ``now <= until`` holds
+        the ready queue needs no bound check of its own.
         """
+        if self._running:
+            raise SimulationError("simulator is already running (re-entrant run)")
+        if self.now > until:
+            return
+        self._running = True
         ready = self._ready
-        if ready:
-            heap = self._heap
-            if heap and heap[0][0] <= self.now:
-                _, _, fn, arg = heapq.heappop(heap)
-            else:
-                fn, arg = ready.popleft()
-        else:
-            self.now, _, fn, arg = heapq.heappop(self._heap)
-        if arg is _NOARG:
-            fn()
-        else:
-            fn(arg)
+        heap = self._heap
+        heappop = heapq.heappop
+        pop_ready = ready.popleft
+        dispatch = self.profiler.dispatch if self.profiler is not None else None
+        try:
+            while not process._triggered:
+                if ready and not (heap and heap[0][0] <= self.now):
+                    fn, arg = pop_ready()
+                elif heap and heap[0][0] <= until:
+                    self.now, _, fn, arg = heappop(heap)
+                else:
+                    return
+                if dispatch is None:
+                    fn(arg)
+                else:
+                    dispatch(fn, arg)
+        finally:
+            self._running = False
 
     def run(self, until: Optional[float] = None, strict: bool = True) -> None:
         """Run until the queues drain or simulated time passes ``until``.
@@ -557,37 +558,10 @@ class Simulator:
         default), a process failure that no other process observed is
         re-raised here rather than passing silently.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
-        ready = self._ready
-        heap = self._heap
-        try:
-            if until is None and "step" not in self.__dict__:
-                # Hot loop: inline dispatch (no per-event method call).
-                heappop = heapq.heappop
-                pop_ready = ready.popleft
-                while ready or heap:
-                    if ready and not (heap and heap[0][0] <= self.now):
-                        fn, arg = pop_ready()
-                    else:
-                        self.now, _, fn, arg = heappop(heap)
-                    if arg is _NOARG:
-                        fn()
-                    else:
-                        fn(arg)
-            else:
-                step = self.step
-                while ready or heap:
-                    if until is not None:
-                        at = self.now if ready else heap[0][0]
-                        if at > until:
-                            break
-                    step()
-                if until is not None and self.now < until:
-                    self.now = until
-        finally:
-            self._running = False
+        # A sentinel that never triggers: the loop stops only on time.
+        self._drive(Event(self), float("inf") if until is None else until)
+        if until is not None and self.now < until:
+            self.now = until
         if strict and self._unhandled:
             failure = self._unhandled.pop(0)
             raise failure._value
@@ -597,37 +571,13 @@ class Simulator:
 
         ``limit`` bounds simulated time as a hang safeguard.
         """
-        ready = self._ready
-        heap = self._heap
-        if "step" not in self.__dict__:
-            heappop = heapq.heappop
-            pop_ready = ready.popleft
-            while not process._triggered:
-                if ready and not (heap and heap[0][0] <= self.now):
-                    fn, arg = pop_ready()
-                elif heap:
-                    if heap[0][0] > limit:
-                        raise SimulationError(f"simulated time limit {limit} exceeded")
-                    self.now, _, fn, arg = heappop(heap)
-                else:
-                    raise SimulationError(
-                        f"deadlock: no scheduled events but {process.name!r} is not done"
-                    )
-                if arg is _NOARG:
-                    fn()
-                else:
-                    fn(arg)
-        else:
-            step = self.step
-            while not process._triggered:
-                if not ready:
-                    if not heap:
-                        raise SimulationError(
-                            f"deadlock: no scheduled events but {process.name!r} is not done"
-                        )
-                    if heap[0][0] > limit:
-                        raise SimulationError(f"simulated time limit {limit} exceeded")
-                step()
+        self._drive(process, limit)
+        if not process._triggered:
+            if self._ready or self._heap:
+                raise SimulationError(f"simulated time limit {limit} exceeded")
+            raise SimulationError(
+                f"deadlock: no scheduled events but {process.name!r} is not done"
+            )
         if process._ok:
             return process._value
         if process in self._unhandled:

@@ -64,6 +64,13 @@ class TestStats:
         assert fractions[-1] == 1.0
         assert xs[-1] == max(values)
 
+    def test_percentiles_stay_monotone_under_rounding(self):
+        # p95 and p99 interpolate between the same two neighbours; the
+        # old weighted-sum form rounded p95 up to 1e6 and p99 below it.
+        values = [0.0] * 11 + [1000000.0, 999999.9999999999]
+        s = summarize(values)
+        assert s.p95 <= s.p99 <= s.maximum
+
     def test_single_value_percentile(self):
         assert percentile([7.0], 0.5) == 7.0
 

@@ -153,10 +153,10 @@ def test_scheduled_action_errors_are_captured_not_fatal():
     async def main():
         clock = LiveClock()
 
-        def explode():
-            raise ValueError("handler bug")
+        def explode(payload):
+            raise ValueError(f"handler bug in {payload}")
 
-        clock._push(0.0, explode)
+        clock._push_call(0.0, explode, "delivery")
         await asyncio.sleep(0.02)
         failures = clock.drain_failures()
         # Drained once; a second drain is empty.
@@ -164,7 +164,7 @@ def test_scheduled_action_errors_are_captured_not_fatal():
 
     failures, rest = run(main())
     assert len(failures) == 1
-    assert "handler bug" in failures[0]
+    assert "handler bug in delivery" in failures[0]
     assert rest == []
 
 
@@ -172,11 +172,11 @@ def test_close_cancels_outstanding_timers():
     async def main():
         clock = LiveClock()
         fired = []
-        clock._push(5.0, lambda: fired.append("timer"))
+        clock._push_call(5.0, fired.append, "timer")
         assert clock._handles
         clock.close()
         assert not clock._handles
-        clock._push(1.0, lambda: fired.append("late"))  # no-op when closed
+        clock._push_call(1.0, fired.append, "late")  # no-op when closed
         await asyncio.sleep(0.03)
         return fired
 

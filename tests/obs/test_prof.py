@@ -1,11 +1,11 @@
 """The DES self-profiler: zero cost when off, bit-identical when on.
 
-``profile=True`` swaps the simulator's bound ``step`` for a timed
-wrapper that replicates the original dispatch exactly — same heappop,
-same ``now`` update, same handler call — so every simulated timing is
-bit-identical with the profiler attached.  When off, the only residue
-is a class-level ``Simulator.profiler = None`` attribute and
-``is not None`` guards on the two allocation counters.
+``profile=True`` sets ``sim.profiler``; the kernel's one dispatch loop
+then hands each action it popped to ``profiler.dispatch``, which only
+runs and times it — the profiler pops no queue, so every simulated
+timing is bit-identical with the profiler attached.  When off, the only
+residue is a class-level ``Simulator.profiler = None`` attribute and
+``is not None`` guards on the dispatch and the two allocation counters.
 """
 
 import time
@@ -30,12 +30,12 @@ def test_profiler_composes_with_obs_bit_identically():
     assert profiled == baseline
 
 
-def test_unprofiled_sim_has_no_instance_step():
+def test_unprofiled_sim_runs_without_profiler():
     deployment = build_music(seed=5)
     assert deployment.profiler is None
     assert deployment.sim.profiler is None
-    assert "step" not in deployment.sim.__dict__
     assert Simulator.profiler is None  # class attribute, shared default
+    assert _workload(deployment) == _workload(build_music(seed=5))
 
 
 def test_profiler_counters_and_snapshot():
@@ -79,7 +79,10 @@ def test_install_guards_and_uninstall():
     finally:
         profiler.uninstall()
     assert deployment.sim.profiler is None
-    assert "step" not in deployment.sim.__dict__
+    # Detached: the run dispatches directly, bit-identical to a never-
+    # profiled deployment, and the profiler counts none of it.
+    assert _workload(deployment) == _workload(build_music(seed=5))
+    assert profiler.events == 0
 
 
 def test_subsystem_classifier():

@@ -1,6 +1,7 @@
 """Regression tests for the kernel's silent-failure and leak bugs.
 
-Each test here pins one of the four bugfixes of the scheduler rework:
+Each test here pins one kernel bugfix, each failing on the kernel
+before its fix.  The first four came with the scheduler rework:
 
 1. ``AnyOf`` used to swallow a losing child's *failure* silently; the
    kernel now defuses it explicitly and counts it in
@@ -10,10 +11,17 @@ Each test here pins one of the four bugfixes of the scheduler rework:
 3. ``Network.recover_node`` used to leave the crashed node's
    ``egress_free_at`` horizon in place, charging phantom transmission
    delay after recovery.
-4. ``call_at`` clamped past deadlines while ``_push`` raised on negative
-   delays; both now clamp (``timeout`` still rejects negative delays at
-   the API boundary), and an interrupted ``Condition`` waiter no longer
-   stays on the waiter list forever.
+4. ``call_at`` clamped past deadlines while the delay-based scheduler
+   raised on negative delays; both now clamp (``timeout`` still rejects
+   negative delays at the API boundary), and an interrupted
+   ``Condition`` waiter no longer stays on the waiter list forever.
+
+The fifth came with the single dispatch loop:
+
+5. Only ``run()`` guarded against re-entry, so a ``run()`` or
+   ``run_until_complete()`` called from a handler that
+   ``run_until_complete`` was driving silently nested a second dispatch
+   loop.  The guard now lives in the one loop both share.
 """
 
 import pytest
@@ -245,14 +253,14 @@ def test_call_at_in_the_past_clamps_to_now():
     assert fired == [10.0]
 
 
-def test_schedule_trigger_in_the_past_clamps_to_now():
+def test_push_call_in_the_past_clamps_to_now():
     sim = Simulator()
     seen = []
 
     def proc():
         yield sim.timeout(10.0)
         event = sim.event()
-        sim._schedule_trigger(-5.0, event, True, "late")
+        sim._push_call(-5.0, event.succeed, "late")
         seen.append((yield event))
 
     sim.process(proc())
@@ -287,3 +295,26 @@ def test_interrupted_condition_waiter_is_dropped():
     assert woken == [("keeper", "go")]
     assert condition._waiters == []
     assert keeper.triggered and quitter.triggered
+
+
+# -- 5: one dispatch loop, one re-entrancy guard -----------------------------
+
+
+@pytest.mark.parametrize("nested", ["run", "run_until_complete"])
+def test_nested_dispatch_loop_is_rejected(nested):
+    sim = Simulator()
+
+    def inner():
+        yield sim.timeout(1.0)
+
+    def outer():
+        yield sim.timeout(1.0)
+        if nested == "run":
+            sim.run()
+        else:
+            sim.run_until_complete(sim.process(inner()))
+
+    with pytest.raises(SimulationError, match="re-entrant"):
+        sim.run_until_complete(sim.process(outer()))
+    # The outer loop released the guard on its way out.
+    sim.run()
